@@ -26,26 +26,25 @@ drifts (the controller is deterministic: same seed, same decisions).
 ``ACE_BENCH_SHORT=1`` shrinks the phases.
 """
 
-import json
 import os
-
-import pytest
 
 from repro.control import ScalingRule, replay_decisions
 from repro.env import ACEEnvironment
 from repro.metrics import ResultTable
 from repro.store.client import StoreUnavailable
 
-SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
+from benchmarks.tracked import (
+    SHORT, artifact_dir, enforce, load_baseline, same_size, write_json,
+    write_report,
+)
+
 WARM_S = 4.0 if SHORT else 6.0       # pre-spike baseline window
 SPIKE_S = 14.0 if SHORT else 22.0    # flash-crowd window
 BASE_CLIENTS, BASE_THINK = 4, 0.10
 SPIKE_CLIENTS, SPIKE_THINK = 20, 0.02
 INTERVAL = 0.5                       # control + telemetry interval (sim-s)
 
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E28.json")
+BASELINE = "BENCH_E28.json"
 
 #: the bench policy: one rule, store groups driven by control-queue
 #: backlog.  Deliberately aggressive cooldowns so the controller
@@ -170,11 +169,8 @@ def run_flash_crowd(seed, *, autoscale: bool, chaos: bool = False) -> dict:
 
 
 def _check_against_baseline(report: dict) -> list:
-    if not os.path.exists(BASELINE_PATH):
-        return []
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
-    if report["short"] != baseline.get("short"):
+    baseline = load_baseline(BASELINE)
+    if not same_size(baseline, report, "recovered p95 and decisions"):
         return []
     problems = []
     committed = baseline.get("autoscaled", {}).get("recovered_p95_ms")
@@ -243,24 +239,11 @@ def test_e28_autoscale(benchmark, table_printer):
     assert chaos["recovered_ratio"] <= 2.0 * 1.5, (
         f"chaos recovered p95 is {chaos['recovered_ratio']:.1f}x baseline")
 
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("regression vs committed BENCH_E28.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
+    enforce(BASELINE, _check_against_baseline(report))
 
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E28.json")
-        with open(os.path.join(artifact_dir, "decision-log.json"), "w") as fh:
-            json.dump({run_name: report[run_name].get("decision_log", [])
-                       for run_name in ("autoscaled", "chaos")},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_dir = artifact_dir()
+    if out_dir:
+        write_json(os.path.join(out_dir, "decision-log.json"),
+                   {run_name: report[run_name].get("decision_log", [])
+                    for run_name in ("autoscaled", "chaos")})
+    write_report(BASELINE, report)

@@ -34,11 +34,7 @@ target) into a failure.  ``ACE_BENCH_SHORT=1`` runs CI-sized populations
 """
 
 import functools
-import json
-import os
 import time
-
-import pytest
 
 from repro.env import build_campus, campus_100k_profile, campus_shard_map
 from repro.metrics import ResultTable, cores_available
@@ -50,11 +46,10 @@ from repro.workloads import (
     start_population,
 )
 
-SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E30.json")
-E29_BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E29.json")
+from benchmarks.tracked import SHORT, enforce, load_baseline, write_report
+
+BASELINE = "BENCH_E30.json"
+E29_BASELINE = "BENCH_E29.json"
 
 REGIONS = 4
 SEED = 29
@@ -248,25 +243,20 @@ def _check_against_baseline(report: dict) -> list:
     """Invariance-hash and null-reduction drift vs committed baselines."""
     problems = []
     current = report["invariance"]["merged_trace_sha256"]
-    if os.path.exists(BASELINE_PATH):
-        with open(BASELINE_PATH) as fh:
-            baseline = json.load(fh)
-        pinned = baseline.get("invariance", {}).get("merged_trace_sha256")
-        if pinned and pinned != current:
-            problems.append(
-                f"invariance-run merged-trace hash changed: committed "
-                f"{pinned[:16]}…, measured {current[:16]}… — demand sync "
-                f"no longer reproduces the committed trace")
+    pinned = load_baseline(BASELINE).get("invariance", {}).get("merged_trace_sha256")
+    if pinned and pinned != current:
+        problems.append(
+            f"invariance-run merged-trace hash changed: committed "
+            f"{pinned[:16]}…, measured {current[:16]}… — demand sync "
+            f"no longer reproduces the committed trace")
     # The E29 baseline pinned the same fixed-scale profile under the old
     # protocol; demand sync must reproduce that committed trace too.
-    if os.path.exists(E29_BASELINE_PATH):
-        with open(E29_BASELINE_PATH) as fh:
-            e29 = json.load(fh)
-        e29_pinned = e29.get("invariance", {}).get("merged_trace_sha256")
-        if e29_pinned and e29_pinned != current:
-            problems.append(
-                f"demand sync does not reproduce the committed E29 trace: "
-                f"E29 pinned {e29_pinned[:16]}…, measured {current[:16]}…")
+    e29_pinned = load_baseline(E29_BASELINE).get("invariance", {}).get(
+        "merged_trace_sha256")
+    if e29_pinned and e29_pinned != current:
+        problems.append(
+            f"demand sync does not reproduce the committed E29 trace: "
+            f"E29 pinned {e29_pinned[:16]}…, measured {current[:16]}…")
     measured = report["sweep"]["null_reduction"]["4"]
     if measured < NULL_REDUCTION_4SHARDS_MIN:
         problems.append(
@@ -332,19 +322,6 @@ def test_e30_demand_sync(benchmark, table_printer):
     assert min(eight["lockstep"]["grants_per_shard"]) \
         == eight["lockstep"]["rounds"]
 
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("regression vs committed BENCH_E30.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
+    enforce(BASELINE, _check_against_baseline(report))
 
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E30.json")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(BASELINE, report)

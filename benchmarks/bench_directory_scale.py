@@ -15,7 +15,7 @@ Four claims:
   lookup-style ops/s by a measured factor over dial-per-call.
 
 Set ``ACE_BENCH_SHORT=1`` for a CI-sized run.  Set
-``ACE_DIR_ARTIFACT_DIR`` to also write the scaling table to disk (CI
+``ACE_BENCH_ARTIFACT_DIR`` to also write the scaling table to disk (CI
 uploads it as a build artifact).
 """
 
@@ -25,6 +25,8 @@ from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
 from repro.metrics import ResultTable, summarize
 from repro.services.asd import asd_lookup
+
+from benchmarks.tracked import artifact_dir
 from tests.core.conftest import EchoDaemon
 
 SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
@@ -115,10 +117,9 @@ def test_e23_users_x_replicas_sweep(benchmark, table_printer):
     assert one_replica[-1][2] > one_replica[0][2]
     assert one_replica[-1][3] <= one_replica[0][2]
 
-    artifact_dir = os.environ.get("ACE_DIR_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        with open(os.path.join(artifact_dir, "e23_directory_scale.txt"),
+    out_dir = artifact_dir()
+    if out_dir:
+        with open(os.path.join(out_dir, "e23_directory_scale.txt"),
                   "w", encoding="utf-8") as fh:
             fh.write(table.render() + "\n")
 

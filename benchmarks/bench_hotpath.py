@@ -29,11 +29,8 @@ when a ratio drops more than 20% below the baseline; otherwise it warns.
 Set ``ACE_BENCH_SHORT=1`` for a CI-sized run.
 """
 
-import json
 import os
 import time
-
-import pytest
 
 from repro.env.scenarios import scenario_1_new_user, standard_environment
 from repro.lang import ACECmdLine
@@ -43,7 +40,8 @@ from repro.obs import ProfileScope
 from repro.sim import Interrupt, Simulator
 from repro.sim.kernel import NORMAL
 
-SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
+from benchmarks.tracked import SHORT, enforce, load_baseline, write_report
+
 BALLAST = 1000 if SHORT else 4000
 REPEATS = 2 if SHORT else 3
 SIZES = {
@@ -61,9 +59,7 @@ PARSE_SPEEDUP_MIN = 2.0
 KERNEL_SPEEDUP_FLOOR = 1.1 if SHORT else 1.35
 PARSE_SPEEDUP_FLOOR = 2.0
 
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E24.json")
+BASELINE = "BENCH_E24.json"
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +311,7 @@ def run_scenario1_macro() -> dict:
 def _check_against_baseline(report: dict) -> list:
     """Compare measured speedup ratios with the committed baseline; returns
     a list of regression messages (empty when clean or no baseline)."""
-    if not os.path.exists(BASELINE_PATH):
-        return []
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
+    baseline = load_baseline(BASELINE)
     problems = []
     checks = [
         ("kernel aggregate", report["kernel"]["aggregate"]["speedup"],
@@ -401,21 +394,5 @@ def test_e24_hotpath(benchmark, table_printer):
     assert s1["speedup"] > 0.85, f"scenario 1 regressed: {s1}"
 
     # Perf-regression guard against the committed trajectory.
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("perf regression vs committed BENCH_E24.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
-
-    # Persist the report: CI artifact dir when set, else the committed
-    # trajectory file at the repo root.
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E24.json")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    enforce(BASELINE, _check_against_baseline(report))
+    write_report(BASELINE, report)

@@ -29,11 +29,7 @@ into a failure.  ``ACE_BENCH_SHORT=1`` runs a CI-sized population.
 """
 
 import functools
-import json
-import os
 import time
-
-import pytest
 
 from repro.env import build_campus, campus_shard_map
 from repro.metrics import ResultTable, cores_available, summarize
@@ -44,10 +40,9 @@ from repro.workloads import (
     start_population,
 )
 
-SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E29.json")
+from benchmarks.tracked import SHORT, enforce, load_baseline, same_size, write_report
+
+BASELINE = "BENCH_E29.json"
 
 REGIONS = 4
 SEED = 29
@@ -112,7 +107,7 @@ def run_sharded(n_shards: int, profile: PopulationProfile, *,
         "errors": sum(r["errors"] for r in results),
         "roams": sum(r["roams"] for r in results),
         "events_delivered": int(events),
-        "windows": int(counters["sync.windows"]),
+        "rounds": int(counters["sync.rounds"]),
         "null_messages": int(counters["sync.null_messages"]),
         "lookahead_stalls": int(counters["sync.lookahead_stalls"]),
         "boundary_msgs": int(counters["boundary.msgs_out"]),
@@ -189,10 +184,7 @@ def run_sweep() -> dict:
 
 def _check_against_baseline(report: dict) -> list:
     """Speedup-ratio and invariance-hash drift vs the committed baseline."""
-    if not os.path.exists(BASELINE_PATH):
-        return []
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
+    baseline = load_baseline(BASELINE)
     problems = []
     committed = baseline.get("sweep", {}).get("agg_speedup", {}).get("4")
     measured = report["sweep"]["agg_speedup"]["4"]
@@ -200,7 +192,7 @@ def _check_against_baseline(report: dict) -> list:
     # population size: the committed baseline is a full 10k-user run,
     # and a SHORT rerun legitimately shows a smaller ratio (less work
     # per window amortizes the sync cost worse).
-    if committed and baseline.get("short") == report["short"]:
+    if committed and same_size(baseline, report, "4-shard speedup"):
         drop = (committed - measured) / committed
         if drop > 0.20:
             problems.append(
@@ -233,20 +225,20 @@ def test_e29_parallel_sim(benchmark, table_printer):
         f"E29: {sweep['profile']['n_users']} users / {REGIONS} regions, "
         f"1-4 kernel shards (critical-path CPU; "
         f"{sweep['cores_available']} cores visible)",
-        ["shards", "agg_ev_per_s", "crit_cpu_s", "wall_s", "windows",
+        ["shards", "agg_ev_per_s", "crit_cpu_s", "wall_s", "rounds",
          "boundary_msgs", "p95_ms", "speedup"],
     ))
     for key in sorted(sweep["shards"], key=int):
         row = sweep["shards"][key]
         table.add(key, row["agg_events_per_s"], row["critical_cpu_s"],
-                  row["wall_s"], row["windows"], row["boundary_msgs"],
+                  row["wall_s"], row["rounds"], row["boundary_msgs"],
                   row["latency"]["p95_ms"],
                   f"{sweep['agg_speedup'].get(key, 1.0):.2f}x")
 
     # The 1-shard run must ride the unmodified fast-path kernel.
     one = sweep["shards"]["1"]
     assert one["counters"]["ready_hits"] > 0, "fast path did not carry"
-    assert one["windows"] <= 3, "single shard should degenerate to run()"
+    assert one["rounds"] <= 3, "single shard should degenerate to run()"
     # Cross-shard traffic must actually exist, or the sweep proves nothing.
     assert sweep["shards"]["4"]["boundary_msgs"] > 0
 
@@ -255,19 +247,6 @@ def test_e29_parallel_sim(benchmark, table_printer):
         f"4-shard aggregate speedup only {speedup4:.2f}x "
         f"(floor {AGG_SPEEDUP_FLOOR}x)")
 
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("regression vs committed BENCH_E29.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
+    enforce(BASELINE, _check_against_baseline(report))
 
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E29.json")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(BASELINE, report)

@@ -21,11 +21,6 @@ the committed baseline fails the run.  ``ACE_BENCH_SHORT=1`` shrinks the
 workloads.
 """
 
-import json
-import os
-
-import pytest
-
 from repro.core.policy import CallPolicy
 from repro.env import ACEEnvironment
 from repro.faults.controller import ChaosController
@@ -34,7 +29,8 @@ from repro.lang import ACECmdLine
 from repro.lang.command import CLIENT_ID_ARG, CLIENT_SEQ_ARG, is_ok
 from repro.metrics import ResultTable
 
-SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
+from benchmarks.tracked import SHORT, enforce, load_baseline, same_size, write_report
+
 DURATION = 12.0 if SHORT else 20.0
 N_CLIENTS = 4 if SHORT else 8
 KILL_AT = 4.0
@@ -54,9 +50,7 @@ WORKLOAD_POLICY = CallPolicy(
     backoff_base=0.05, backoff_max=0.4, breaker_threshold=0,
 )
 
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E26.json")
+BASELINE = "BENCH_E26.json"
 
 #: the kill-sweep: daemon name -> liveness command aimed at it
 SWEEP = {
@@ -153,13 +147,10 @@ def run_kill(target: str, probe: ACECmdLine, seed: int) -> dict:
 
 
 def _check_against_baseline(report: dict) -> list:
-    if not os.path.exists(BASELINE_PATH):
+    baseline = load_baseline(BASELINE)
+    if not same_size(baseline, report, "MTTR"):
         return []
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
     problems = []
-    if report["short"] != baseline.get("short"):
-        return []
     for target, row in report["sweep"].items():
         committed = baseline.get("sweep", {}).get(target, {}).get("mttr_s")
         measured = row["mttr_s"]
@@ -214,19 +205,6 @@ def test_e26_recovery(benchmark, table_printer):
             f"{target}: post-restart replay re-executed instead of "
             f"answering from the checkpointed dedup cache")
 
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("perf regression vs committed BENCH_E26.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
+    enforce(BASELINE, _check_against_baseline(report))
 
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E26.json")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(BASELINE, report)

@@ -26,16 +26,12 @@ root otherwise — the committed perf trajectory).  Under
 baseline fails the run.  ``ACE_BENCH_SHORT=1`` shrinks the workloads.
 """
 
-import json
-import os
-
-import pytest
-
 from repro.env import ACEEnvironment
 from repro.metrics import ResultTable
 from repro.workloads import store_workload
 
-SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
+from benchmarks.tracked import SHORT, enforce, load_baseline, same_size, write_report
+
 DURATION = 5.0 if SHORT else 12.0
 N_CLIENTS = 16 if SHORT else 24
 RE_READS = 50 if SHORT else 100
@@ -46,9 +42,7 @@ SHARD_SPEEDUP_MIN = 2.0      # 4 groups vs 1 group, aggregate ops/s
 BATCH_SPEEDUP_MIN = 2.0      # batched vs per-object write throughput
 CACHE_SPEEDUP_MIN = 10.0     # cached re-reads vs wire re-reads
 
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E25.json")
+BASELINE = "BENCH_E25.json"
 
 
 def build_env(groups=1, replicas=2, seed=55, sync_interval=2.0, **store_kwargs):
@@ -194,10 +188,7 @@ def run_convergence() -> dict:
 # ---------------------------------------------------------------------------
 
 def _check_against_baseline(report: dict) -> list:
-    if not os.path.exists(BASELINE_PATH):
-        return []
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
+    baseline = load_baseline(BASELINE)
     problems = []
     # The replication A/B ratio is workload-size independent, so it is
     # always comparable.  The shard and cache ratios scale with the run
@@ -207,7 +198,7 @@ def _check_against_baseline(report: dict) -> list:
         ("batched replication", report["replication"]["speedup"],
          baseline.get("replication", {}).get("speedup")),
     ]
-    if report["short"] == baseline.get("short"):
+    if same_size(baseline, report, "shard and read-cache ratios"):
         checks += [
             ("shard 4-vs-1", report["shards"]["speedup_4_vs_1"],
              baseline.get("shards", {}).get("speedup_4_vs_1")),
@@ -299,19 +290,6 @@ def test_e25_store_scale(benchmark, table_printer):
             == report["convergence"]["sync"]["hash"]), (
         "batched and sync runs of the same workload disagree on the data")
 
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("perf regression vs committed BENCH_E25.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
+    enforce(BASELINE, _check_against_baseline(report))
 
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E25.json")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(BASELINE, report)

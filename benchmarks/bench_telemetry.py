@@ -24,10 +24,6 @@ shrinks the workloads.
 """
 
 import hashlib
-import json
-import os
-
-import pytest
 
 from repro.env import ACEEnvironment
 from repro.faults.controller import ChaosController
@@ -37,17 +33,15 @@ from repro.metrics import ResultTable
 from repro.obs import span_to_wire
 from repro.workloads import closed_loop_clients
 
+from benchmarks.tracked import SHORT, enforce, load_baseline, same_size, write_report
 from tests.core.conftest import EchoDaemon
 
-SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
 DURATION = 8.0 if SHORT else 16.0
 N_CLIENTS = 4 if SHORT else 8
 THINK_TIME = 0.05
 INTERVAL = 0.5  # telemetry push interval (sim-s)
 
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E27.json")
+BASELINE = "BENCH_E27.json"
 
 
 def build_env(seed, *, telemetry: bool):
@@ -139,11 +133,8 @@ def run_detection(seed) -> dict:
 
 
 def _check_against_baseline(report: dict) -> list:
-    if not os.path.exists(BASELINE_PATH):
-        return []
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
-    if report["short"] != baseline.get("short"):
+    baseline = load_baseline(BASELINE)
+    if not same_size(baseline, report, "latency and wire hash"):
         return []
     problems = []
     committed = baseline.get("telemetry_on", {}).get("mean_s")
@@ -222,19 +213,6 @@ def test_e27_telemetry(benchmark, table_printer):
         f"(bound: {2 * INTERVAL:.2f}s)")
     assert det["slo"] == "rpc-availability"
 
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("regression vs committed BENCH_E27.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
+    enforce(BASELINE, _check_against_baseline(report))
 
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E27.json")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(BASELINE, report)

@@ -29,7 +29,6 @@ from repro.obs.cluster.alerts import (
     is_fast_burn,
 )
 from repro.obs.cluster.merge import (
-    HistogramData,
     MergeError,
     ScopeSnapshot,
     decode_scopes,
@@ -43,7 +42,6 @@ from repro.obs.cluster.snapshot import ClusterSnapshot
 
 __all__ = [
     "ClusterSnapshot",
-    "HistogramData",
     "MergeError",
     "SLOEngine",
     "SLOSpec",

@@ -34,7 +34,6 @@ from repro.net import Address, ConnectionClosed, ConnectionRefused
 from repro.obs.cluster.merge import (
     MODE_DELTA,
     MODE_SAME,
-    HistogramData,
     MergeError,
     ScopeSnapshot,
     decode_scopes,
@@ -42,6 +41,7 @@ from repro.obs.cluster.merge import (
 )
 from repro.obs.cluster.alerts import alert_to_command
 from repro.obs.cluster.slo import SLOEngine, SLOSpec, split_histogram
+from repro.obs.registry import Histogram
 
 
 class TelemetryAggregatorDaemon(ACEDaemon):
@@ -213,7 +213,7 @@ class TelemetryAggregatorDaemon(ACEDaemon):
 
     def rollup_histogram(
         self, metric: str, service: str = ""
-    ) -> Optional[HistogramData]:
+    ) -> Optional[Histogram]:
         """Exact cluster-wide merge of ``metric`` over matching series."""
         parts = [
             snap.histograms[metric]

@@ -10,9 +10,9 @@ The unit of transfer is the *scope snapshot*: every instrument under one
   (``full``/``delta``/``same``; ``same`` is a header-only heartbeat)
 * ``C|name|value`` — counter (absolute value)
 * ``G|name|value`` — gauge
-* ``H|name|bounds|counts|total|min|max|exemplars`` — histogram with
-  explicit bucket bounds, per-bucket counts, and ``idx:trace:value``
-  exemplar triples
+* ``H|name|bounds|counts|total|min|max|exemplars`` — a
+  :class:`~repro.obs.registry.Histogram` with explicit bucket bounds,
+  per-bucket counts, and ``idx:trace:value`` exemplar triples
 
 Delta encoding is *sparse-absolute*: a delta row set carries only the
 instruments that changed since the last acknowledged push, each with its
@@ -30,16 +30,13 @@ from math import inf, isinf
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.lang.wire import join_wire, split_wire
+from repro.obs.registry import Histogram, MergeError
 
 MODE_FULL = "full"
 MODE_DELTA = "delta"
 #: header-only heartbeat: "this series is unchanged but still alive", so
 #: aggregator freshness tracks publisher liveness, not metric churn
 MODE_SAME = "same"
-
-
-class MergeError(ValueError):
-    """Incompatible snapshots (mismatched bucket bounds, bad rows)."""
 
 
 def _num(value) -> str:
@@ -58,119 +55,9 @@ def _parse_num(text: str):
         return float(text)
 
 
-class HistogramData:
-    """A frozen, mergeable histogram value (bounds + counts + extrema)."""
-
-    __slots__ = ("bounds", "counts", "total", "minimum", "maximum", "exemplars")
-
-    def __init__(self, bounds, counts=None, total=0.0, minimum=inf,
-                 maximum=-inf, exemplars=None):
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
-        self.counts: List[int] = (
-            list(counts) if counts is not None else [0] * (len(self.bounds) + 1)
-        )
-        if len(self.counts) != len(self.bounds) + 1:
-            raise MergeError("histogram counts/bounds length mismatch")
-        self.total = float(total)
-        self.minimum = minimum
-        self.maximum = maximum
-        #: bucket index -> (trace_id, value)
-        self.exemplars: Dict[int, Tuple[str, float]] = dict(exemplars or {})
-
-    @classmethod
-    def from_instrument(cls, hist) -> "HistogramData":
-        """Freeze a live :class:`~repro.obs.Histogram`."""
-        return cls(
-            hist.bounds, list(hist.counts), hist.total, hist.minimum,
-            hist.maximum, dict(hist.exemplars) if hist.exemplars else None,
-        )
-
-    @property
-    def count(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def mean(self) -> float:
-        n = self.count
-        return self.total / n if n else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Bucket-resolution quantile, same convention as the live
-        instrument: the upper bound of the bucket holding the q-th
-        observation, the observed max for the overflow bucket."""
-        n = self.count
-        if n == 0:
-            return 0.0
-        target = q * n
-        running = 0
-        for i, c in enumerate(self.counts):
-            running += c
-            if running >= target:
-                return self.bounds[i] if i < len(self.bounds) else self.maximum
-        return self.maximum
-
-    def merge(self, other: "HistogramData") -> "HistogramData":
-        """Add ``other`` into this histogram (exact; bounds must match)."""
-        if other.bounds != self.bounds:
-            raise MergeError(
-                f"cannot merge histograms with bounds {self.bounds} "
-                f"and {other.bounds}"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        # Latest write wins per bucket; any exemplar beats none.
-        self.exemplars.update(other.exemplars)
-        return self
-
-    def subtract_base(self, base: "HistogramData") -> "HistogramData":
-        """This histogram minus a frozen base (the incarnation-seam
-        rebasing: shared instruments never reset in-sim, so a restarted
-        daemon's fresh series is current-minus-base).  Extrema cannot be
-        un-observed; they stay as currently observed."""
-        if base.bounds != self.bounds:
-            raise MergeError("rebase with mismatched bounds")
-        counts = [max(c - b, 0) for c, b in zip(self.counts, base.counts)]
-        return HistogramData(
-            self.bounds, counts, max(self.total - base.total, 0.0),
-            self.minimum, self.maximum, dict(self.exemplars),
-        )
-
-    def copy(self) -> "HistogramData":
-        return HistogramData(
-            self.bounds, list(self.counts), self.total, self.minimum,
-            self.maximum, dict(self.exemplars),
-        )
-
-    def slowest_exemplar(self) -> Optional[Tuple[str, float]]:
-        """The exemplar pinned to the highest occupied bucket, if any."""
-        for idx in sorted(self.exemplars, reverse=True):
-            return self.exemplars[idx]
-        return None
-
-    def same_values(self, other: "HistogramData") -> bool:
-        return (
-            self.bounds == other.bounds
-            and self.counts == other.counts
-            and self.total == other.total
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HistogramData)
-            and self.same_values(other)
-            and self.exemplars == other.exemplars
-        )
-
-    def __repr__(self) -> str:
-        return f"HistogramData(count={self.count}, total={self.total:.6g})"
-
-
-def merge_histograms(items: Iterable[HistogramData]) -> Optional[HistogramData]:
+def merge_histograms(items: Iterable[Histogram]) -> Optional[Histogram]:
     """Exactly merge histograms (same bounds) into one; None when empty."""
-    merged: Optional[HistogramData] = None
+    merged: Optional[Histogram] = None
     for item in items:
         if merged is None:
             merged = item.copy()
@@ -193,7 +80,7 @@ class ScopeSnapshot:
         self.incarnation = incarnation
         self.counters: Dict[str, float] = dict(counters or {})
         self.gauges: Dict[str, float] = dict(gauges or {})
-        self.histograms: Dict[str, HistogramData] = dict(histograms or {})
+        self.histograms: Dict[str, Histogram] = dict(histograms or {})
 
     @property
     def key(self) -> Tuple[str, str, int]:
@@ -209,7 +96,7 @@ class ScopeSnapshot:
         return cls(
             scope.service, scope.address, scope.incarnation,
             dict(counters), dict(gauges),
-            {name: HistogramData.from_instrument(h) for name, h in live.items()},
+            {name: h.copy() for name, h in live.items()},
         )
 
     def copy(self) -> "ScopeSnapshot":
@@ -250,7 +137,7 @@ class ScopeSnapshot:
         histograms = {}
         for name, hist in self.histograms.items():
             old = prev.histograms.get(name)
-            if old is None or not old.same_values(hist) or old.exemplars != hist.exemplars:
+            if old != hist:
                 histograms[name] = hist
         if not counters and not gauges and not histograms:
             return None
@@ -286,13 +173,13 @@ class ScopeSnapshot:
 # ---------------------------------------------------------------------------
 # Wire codec
 # ---------------------------------------------------------------------------
-def _hist_to_row(name: str, hist: HistogramData) -> str:
+def _hist_to_row(name: str, hist: Histogram) -> str:
     # ``idx:trace:value`` triples; trace ids are deterministic ``t<n>``
     # tokens but parsing still tolerates embedded ``:`` via split-once /
     # rsplit-once on the numeric ends.
     exemplars = " ".join(
         f"{i}:{trace}:{_num(value)}"
-        for i, (trace, value) in sorted(hist.exemplars.items())
+        for i, (trace, value) in sorted((hist.exemplars or {}).items())
     )
     return join_wire((
         "H", name,
@@ -305,7 +192,7 @@ def _hist_to_row(name: str, hist: HistogramData) -> str:
     ))
 
 
-def _hist_from_row(fields: List[str]) -> Tuple[str, HistogramData]:
+def _hist_from_row(fields: List[str]) -> Tuple[str, Histogram]:
     name, bounds, counts, total, minimum, maximum, exemplars = fields
     ex: Dict[int, Tuple[str, float]] = {}
     if exemplars:
@@ -313,7 +200,7 @@ def _hist_from_row(fields: List[str]) -> Tuple[str, HistogramData]:
             idx, rest = triple.split(":", 1)
             trace, value = rest.rsplit(":", 1)
             ex[int(idx)] = (trace, float(_parse_num(value)))
-    return name, HistogramData(
+    return name, Histogram(
         tuple(float(b) for b in bounds.split(" ")) if bounds else (),
         [int(c) for c in counts.split(" ")],
         _parse_num(total),

@@ -22,6 +22,7 @@ interpolated.
 from __future__ import annotations
 
 from collections import OrderedDict
+from math import inf
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: default latency bucket upper bounds, seconds (last bucket is +inf)
@@ -65,6 +66,11 @@ class Gauge:
         self.value -= n
 
 
+class MergeError(ValueError):
+    """Incompatible histograms or telemetry rows (mismatched bucket
+    bounds, bad rows)."""
+
+
 class Histogram:
     """Fixed-bucket histogram with running sum/min/max.
 
@@ -76,23 +82,39 @@ class Histogram:
     straight to the span tree of a request that actually lived in that
     bucket.  Exemplar storage is bounded by the bucket count and lives
     only in memory — it never changes wire traffic.
+
+    The same type is the telemetry plane's frozen value: the optional
+    constructor fields rebuild a histogram from the merge codec's wire
+    rows, :meth:`copy` freezes a live instrument, and :meth:`merge` /
+    :meth:`subtract_base` are the exact cross-daemon and restart-seam
+    arithmetic (bounds must match, counts add, nothing is interpolated).
     """
 
     __slots__ = ("bounds", "counts", "count", "total", "minimum", "maximum",
                  "exemplars")
 
-    def __init__(self, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS):
+    def __init__(self, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
+                 counts: Optional[Sequence[int]] = None, total: float = 0.0,
+                 minimum: float = inf, maximum: float = -inf,
+                 exemplars: Optional[Dict[int, Tuple[str, float]]] = None):
         self.bounds = tuple(float(b) for b in bounds)
         if any(b1 >= b2 for b1, b2 in zip(self.bounds, self.bounds[1:])):
             raise ValueError("histogram bounds must be strictly increasing")
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
+        if counts is None:
+            self.counts = [0] * (len(self.bounds) + 1)
+        else:
+            self.counts = list(counts)
+            if len(self.counts) != len(self.bounds) + 1:
+                raise MergeError("histogram counts/bounds length mismatch")
+        self.count = sum(self.counts)
+        self.total = float(total)
+        self.minimum = minimum
+        self.maximum = maximum
         #: bucket index -> (trace_id, value) of the latest traced
         #: observation that landed there (None until first exemplar)
-        self.exemplars: Optional[Dict[int, Tuple[str, float]]] = None
+        self.exemplars: Optional[Dict[int, Tuple[str, float]]] = (
+            dict(exemplars) if exemplars else None
+        )
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -136,7 +158,8 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Bucket-resolution quantile (upper bound of the bucket holding
-        the q-th observation); 0 when empty."""
+        the q-th observation, the observed max for the overflow bucket);
+        0 when empty."""
         if self.count == 0:
             return 0.0
         target = q * self.count
@@ -156,6 +179,61 @@ class Histogram:
             "p99": self.percentile(0.99),
             "max": self.maximum if self.count else 0.0,
         }
+
+    # -- frozen-value arithmetic (the telemetry plane) ----------------------
+    def copy(self) -> "Histogram":
+        return Histogram(self.bounds, self.counts, self.total, self.minimum,
+                         self.maximum, self.exemplars)
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Add ``other`` into this histogram (exact; bounds must match)."""
+        if other.bounds != self.bounds:
+            raise MergeError(
+                f"cannot merge histograms with bounds {self.bounds} "
+                f"and {other.bounds}"
+            )
+        for i, c in enumerate(other.counts):
+            self.counts[i] += c
+        self.count += other.count
+        self.total += other.total
+        self.minimum = min(self.minimum, other.minimum)
+        self.maximum = max(self.maximum, other.maximum)
+        # Latest write wins per bucket; any exemplar beats none.
+        if other.exemplars:
+            if self.exemplars is None:
+                self.exemplars = {}
+            self.exemplars.update(other.exemplars)
+        return self
+
+    def subtract_base(self, base: "Histogram") -> "Histogram":
+        """This histogram minus a frozen base (the incarnation-seam
+        rebasing: shared instruments never reset in-sim, so a restarted
+        daemon's fresh series is current-minus-base).  Bucket counts clamp
+        at zero; extrema cannot be un-observed, so they stay as currently
+        observed."""
+        if base.bounds != self.bounds:
+            raise MergeError("rebase with mismatched bounds")
+        counts = [max(c - b, 0) for c, b in zip(self.counts, base.counts)]
+        return Histogram(self.bounds, counts, max(self.total - base.total, 0.0),
+                         self.minimum, self.maximum, self.exemplars)
+
+    def slowest_exemplar(self) -> Optional[Tuple[str, float]]:
+        """The exemplar pinned to the highest occupied bucket, if any."""
+        if not self.exemplars:
+            return None
+        return self.exemplars[max(self.exemplars)]
+
+    def __eq__(self, other) -> bool:
+        """Same bounds, bucket counts, sum and exemplars (no exemplars and
+        an empty exemplar map are equal).  Extrema are not compared: they
+        only move with an observation, which moves the counts too."""
+        return (
+            isinstance(other, Histogram)
+            and self.bounds == other.bounds
+            and self.counts == other.counts
+            and self.total == other.total
+            and (self.exemplars or {}) == (other.exemplars or {})
+        )
 
 
 class MetricsRegistry:

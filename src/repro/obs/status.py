@@ -157,25 +157,24 @@ def render_sharding(report: dict) -> str:
     """Terminal tables for a :func:`run_sharded_demo` report."""
     from repro.metrics import ResultTable
 
-    sync = report.get("sync", {})
-    protocol = sync.get("protocol", "?")
+    sync = report["sync"]
     table = ResultTable(
-        f"sharded kernel ({protocol} sync): {report['users']} users / "
+        f"sharded kernel ({sync['protocol']} sync): {report['users']} users / "
         f"{report['regions']} regions on {report['n_shards']} shard(s), "
         f"{report['ops']} ops",
         ["shard", "events", "cpu_s", "grants", "width_p50", "width_p95",
          "stalls", "boundary_out", "bytes_out", "trace_recs"],
     )
-    per_shard = sync.get("per_shard", [{}] * len(report["shards"]))
     for i, shard in enumerate(report["shards"]):
         boundary = shard.get("boundary", {})
-        width = per_shard[i].get("window_width", {})
+        per_shard = sync["per_shard"][i]
+        width = per_shard["window_width"]
         table.add(
             i, int(shard["kernel"]["events_delivered"]),
             round(shard["cpu_s"], 3),
-            per_shard[i].get("grants", shard["windows"]),
-            f"{width.get('p50', 0.0):.4g}s",
-            f"{width.get('p95', 0.0):.4g}s",
+            per_shard["grants"],
+            f"{width['p50']:.4g}s",
+            f"{width['p95']:.4g}s",
             shard["lookahead_stalls"],
             boundary.get("boundary_msgs_out", 0),
             boundary.get("boundary_bytes_out", 0),

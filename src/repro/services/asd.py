@@ -46,11 +46,6 @@ from repro.core.leases import LeaseTable
 from repro.core.lookup_cache import query_key
 from repro.core.policy import CallPolicy
 
-# Backwards-compatible aliases: the escaping was born here and later
-# promoted to repro.lang.wire so NetLogger and the obs exporter share it.
-_escape_field = escape_field
-_split_wire = split_wire
-
 
 @dataclass(frozen=True)
 class ServiceRecord:
@@ -77,11 +72,11 @@ class ServiceRecord:
             # First-life records keep the legacy 5-field form so the wire
             # stays byte-identical when the recovery plane is off.
             parts.append(self.inc)
-        return "|".join(_escape_field(str(part)) for part in parts)
+        return "|".join(escape_field(str(part)) for part in parts)
 
     @classmethod
     def from_wire(cls, text: str) -> "ServiceRecord":
-        fields = _split_wire(text)
+        fields = split_wire(text)
         if len(fields) == 5:
             name, host, port, room, klass = fields
             return cls(name, host, int(port), room, klass)
@@ -117,7 +112,7 @@ class DirEntry:
 
     def to_wire(self) -> str:
         return "|".join(
-            _escape_field(part)
+            escape_field(part)
             for part in (
                 self.record.to_wire(),
                 repr(self.expires_at),
@@ -130,7 +125,7 @@ class DirEntry:
 
     @classmethod
     def from_wire(cls, text: str) -> "DirEntry":
-        record, expires, seq, site, deleted, renewals = _split_wire(text)
+        record, expires, seq, site, deleted, renewals = split_wire(text)
         return cls(
             record=ServiceRecord.from_wire(record),
             expires_at=float(expires),
@@ -398,7 +393,7 @@ class ServiceDirectoryDaemon(ACEDaemon):
             listing = digest_reply.get("entries", ())
             wanted: List[str] = []
             for line in listing if isinstance(listing, tuple) else ():
-                name, seq, site = _split_wire(line)
+                name, seq, site = split_wire(line)
                 ours = self._entries.get(name)
                 if ours is None or ours.version < (int(seq), site):
                     wanted.append(name)
@@ -606,7 +601,7 @@ class ServiceDirectoryDaemon(ACEDaemon):
         self._prune_tombstones(now)
         listing = tuple(
             "|".join(
-                (_escape_field(name), str(entry.seq), _escape_field(entry.site))
+                (escape_field(name), str(entry.seq), escape_field(entry.site))
             )
             for name, entry in sorted(self._entries.items())
         )

@@ -582,8 +582,7 @@ class ShardedSimulator:
 
         Kernel counters are summed across shards.  ``sync.*`` telemetry:
 
-        * ``sync.rounds`` — scheduler passes (lockstep: window rounds);
-          ``sync.windows`` is kept as a compatibility alias.
+        * ``sync.rounds`` — scheduler passes (lockstep: window rounds).
         * ``sync.grants`` — window grants dispatched.  Lockstep sends one
           per shard per round; demand mode only dispatches shards with
           executable demand, so the two are no longer conflated.
@@ -601,7 +600,6 @@ class ShardedSimulator:
         out["sync.shards"] = self.n_shards
         out["sync.demand"] = 0.0 if self.sync == "lockstep" else 1.0
         out["sync.rounds"] = self.rounds
-        out["sync.windows"] = self.rounds
         out["sync.grants"] = self.grants
         out["sync.null_messages"] = self.null_grants
         out["sync.payload_free_grants"] = self.payload_free_grants

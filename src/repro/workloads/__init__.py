@@ -9,7 +9,6 @@ from repro.workloads.clients import (
 )
 from repro.workloads.population import (
     CompactUserRng,
-    HistogramRecorder,
     PopulationProfile,
     PopulationState,
     collect_population,
@@ -21,7 +20,6 @@ __all__ = [
     "CallRecord",
     "ChaosRunResult",
     "CompactUserRng",
-    "HistogramRecorder",
     "PopulationProfile",
     "PopulationState",
     "closed_loop_clients",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Optional, Tuple, Union
 
 from repro.lang import ACECmdLine
 from repro.core.client import CallError, ServiceClient
@@ -71,31 +71,6 @@ class CompactUserRng:
         return value if value < n else n - 1
 
 
-class HistogramRecorder:
-    """Duck-types the slice of :class:`~repro.metrics.LatencyRecorder`
-    the population workload uses, but folds observations into a
-    fixed-bucket digest — bounded memory regardless of op count (the
-    100k rung records hundreds of thousands of latencies)."""
-
-    __slots__ = ("hist",)
-
-    def __init__(self) -> None:
-        self.hist = Histogram()
-
-    def record(self, elapsed: float) -> None:
-        self.hist.observe(float(elapsed))
-
-    @property
-    def samples(self) -> list:
-        return []
-
-    def snapshot(self) -> dict:
-        return self.hist.snapshot()
-
-    def __len__(self) -> int:
-        return self.hist.count
-
-
 @dataclass(frozen=True)
 class PopulationProfile:
     """Everything that defines a population run.  Picklable on purpose."""
@@ -128,9 +103,11 @@ class PopulationProfile:
     #: front; scheduling inside a session is unchanged
     lazy_sessions: bool = False
     #: compact per-user state: :class:`CompactUserRng` instead of a
-    #: cached ``random.Random`` per user, and a :class:`HistogramRecorder`
-    #: latency digest instead of raw samples.  Changes draw sequences, so
-    #: it is opt-in — default profiles stay bit-identical to E29.
+    #: cached ``random.Random`` per user, and a fixed-bucket
+    #: :class:`~repro.obs.registry.Histogram` latency digest instead of
+    #: raw samples (bounded memory regardless of op count).  Changes draw
+    #: sequences, so it is opt-in — default profiles stay bit-identical
+    #: to E29.
     compact_sessions: bool = False
 
     def window(self) -> float:
@@ -156,7 +133,8 @@ class PopulationState:
     t0: float                     # sim time the workload started
     end_at: float
     schedule_len: int
-    ops: LatencyRecorder = field(default_factory=LatencyRecorder)
+    #: raw samples, or a fixed-bucket digest for ``compact_sessions``
+    ops: Union[LatencyRecorder, Histogram] = field(default_factory=LatencyRecorder)
     sessions_spawned: int = 0
     sessions_started: int = 0
     sessions_finished: int = 0
@@ -282,6 +260,7 @@ def _session(env, state: PopulationState, uid: int, region,
         rng = env.rng.py(f"population.user.{uid}")
     host = env.net.host(region.client_host)
     client = ServiceClient(env.ctx, host, principal=f"pop-{uid}")
+    record = state.ops.observe if profile.compact_sessions else state.ops.record
     state.sessions_started += 1
     while sim.now < end_at:
         asd = region.asd
@@ -298,7 +277,7 @@ def _session(env, state: PopulationState, uid: int, region,
             state.errors += 1
             yield sim.timeout(0.5)
             continue
-        state.ops.record(sim.now - t0)
+        record(sim.now - t0)
         think = profile.think_time
         if profile.in_flash(sim.now - state.t0):
             think /= profile.flash_think_divisor
@@ -324,8 +303,7 @@ def start_population(env, shard, *, profile: PopulationProfile) -> int:
     state = PopulationState(
         profile=profile, t0=t0, end_at=t0 + profile.duration,
         schedule_len=len(schedule),
-        ops=(HistogramRecorder() if profile.compact_sessions
-             else LatencyRecorder()),
+        ops=Histogram() if profile.compact_sessions else LatencyRecorder(),
     )
     env.population = state
     owned = []
@@ -377,16 +355,18 @@ def collect_population(env, shard=None) -> dict:
         return {"ops": 0, "sessions_spawned": 0, "sessions_started": 0,
                 "sessions_finished": 0, "errors": 0, "roams": 0,
                 "schedule_len": 0, "samples": []}
+    ops = state.ops
+    compact = isinstance(ops, Histogram)
     out = {
-        "ops": len(state.ops),
+        "ops": ops.count if compact else len(ops),
         "sessions_spawned": state.sessions_spawned,
         "sessions_started": state.sessions_started,
         "sessions_finished": state.sessions_finished,
         "errors": state.errors,
         "roams": state.roams,
         "schedule_len": state.schedule_len,
-        "samples": list(state.ops.samples),
+        "samples": [] if compact else list(ops.samples),
     }
-    if isinstance(state.ops, HistogramRecorder):
-        out["latency"] = state.ops.snapshot()
+    if compact:
+        out["latency"] = ops.snapshot()
     return out

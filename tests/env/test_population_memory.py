@@ -15,10 +15,10 @@ import tracemalloc
 import pytest
 
 from repro.env import build_campus, campus_100k_profile
+from repro.obs import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.sim import RngRegistry
 from repro.workloads import (
     CompactUserRng,
-    HistogramRecorder,
     PopulationProfile,
     collect_population,
     start_population,
@@ -120,13 +120,14 @@ class TestMemoryFootprint:
             f"cached {cached_bytes:.0f} B/user")
         assert compact and cached  # keep both alive through measurement
 
-    def test_histogram_recorder_is_bounded(self):
-        rec = HistogramRecorder()
+    def test_latency_histogram_is_bounded(self):
+        hist = Histogram()
         for i in range(50_000):
-            rec.record(i * 1e-5)
-        assert len(rec) == 50_000
-        assert rec.samples == []
-        snap = rec.snapshot()
+            hist.observe(i * 1e-5)
+        assert hist.count == 50_000
+        assert len(hist.counts) == len(DEFAULT_LATENCY_BUCKETS) + 1
+        assert hist.exemplars is None
+        snap = hist.snapshot()
         assert snap["count"] == 50_000
         assert snap["p95"] > snap["p50"] > 0
 

@@ -60,7 +60,6 @@ def test_two_shard_process_run_matches_single_kernel(single_kernel):
     assert counters1["boundary.msgs_out"] == 0
     assert counters2["boundary.msgs_out"] > 0
     assert counters2["sync.rounds"] > 0
-    assert counters2["sync.windows"] == counters2["sync.rounds"]  # alias
     assert counters2["sync.grants"] > 0
     # demand-driven sync (the default): every grant moves work, so the
     # lockstep protocol's blind broadcasts (grants == rounds * shards)
@@ -97,5 +96,5 @@ def test_profile_scope_reads_sharded_counters():
     assert scope.sim_s == pytest.approx(PROFILE.duration + 3.0)
     assert scope.counters["events_delivered"] > 0
     assert scope.counters["boundary.msgs_out"] > 0
-    assert scope.counters["sync.windows"] > 0
+    assert scope.counters["sync.rounds"] > 0
     assert scope.events_per_s > 0

@@ -18,7 +18,6 @@ import pytest
 
 from repro.obs import Histogram
 from repro.obs.cluster import (
-    HistogramData,
     MergeError,
     ScopeSnapshot,
     decode_scopes,
@@ -33,6 +32,20 @@ values = st.floats(
     min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False
 )
 shards = st.lists(st.lists(values, max_size=40), min_size=1, max_size=6)
+#: (value, trace id or "" for an untraced observation)
+traced_values = st.tuples(values, st.sampled_from(["", "", "t1", "t2", "a:b"]))
+
+
+def _observed(observations):
+    """A live instrument fed ``(value, trace)`` pairs; untraced-only
+    inputs leave it with no exemplars at all (``exemplars is None``)."""
+    live = Histogram(bounds=BOUNDS)
+    for value, trace in observations:
+        if trace:
+            live.observe_ex(value, trace)
+        else:
+            live.observe(value)
+    return live
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +61,7 @@ def test_merged_shards_equal_whole_population(shards):
         for v in shard:
             live.observe(v)
             whole.observe(v)
-        frozen.append(HistogramData.from_instrument(live))
+        frozen.append(live.copy())
 
     merged = merge_histograms(frozen)
     assert merged is not None
@@ -70,7 +83,7 @@ def test_merge_is_order_independent(shards):
         live = Histogram(bounds=BOUNDS)
         for v in shard:
             live.observe(v)
-        frozen.append(HistogramData.from_instrument(live))
+        frozen.append(live.copy())
     forward = merge_histograms(frozen)
     backward = merge_histograms(list(reversed(frozen)))
     # Counts are exact; totals agree up to float-summation order.
@@ -80,13 +93,35 @@ def test_merge_is_order_independent(shards):
     assert forward.maximum == backward.maximum
 
 
+@given(st.lists(st.lists(traced_values, max_size=20), min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_merge_keeps_latest_exemplar_per_bucket(shards):
+    merged = merge_histograms(_observed(shard) for shard in shards)
+    expected = {}
+    for shard in shards:
+        live = _observed(shard)
+        expected.update(live.exemplars or {})
+    assert (merged.exemplars or {}) == expected
+    assert merged.count == sum(merged.counts) == sum(len(s) for s in shards)
+
+
 def test_merge_rejects_mismatched_bounds():
-    a = HistogramData((0.1, 1.0))
-    b = HistogramData((0.1, 2.0))
+    a = Histogram((0.1, 1.0))
+    b = Histogram((0.1, 2.0))
     with pytest.raises(MergeError):
         a.merge(b)
     with pytest.raises(MergeError):
         a.subtract_base(b)
+
+
+def test_codec_fields_rebuild_an_instrument():
+    h = Histogram((0.1, 1.0), [2, 0, 1], 2.5, 0.01, 2.3)
+    assert h.count == 3
+    assert h.exemplars is None
+    assert h == Histogram((0.1, 1.0), [2, 0, 1], 2.5, 0.01, 2.3, {})
+    assert h.percentile(0.5) == 0.1 and h.percentile(1.0) == 2.3
+    with pytest.raises(MergeError):
+        Histogram((0.1, 1.0), [1, 2])
 
 
 def test_merge_keeps_slowest_exemplar():
@@ -94,9 +129,7 @@ def test_merge_keeps_slowest_exemplar():
     slow.observe_ex(0.4, "t-slow")
     fast = Histogram(bounds=BOUNDS)
     fast.observe_ex(0.002, "t-fast")
-    merged = merge_histograms(
-        [HistogramData.from_instrument(fast), HistogramData.from_instrument(slow)]
-    )
+    merged = merge_histograms([fast.copy(), slow.copy()])
     trace, value = merged.slowest_exemplar()
     assert trace == "t-slow" and value == 0.4
 
@@ -115,7 +148,7 @@ def _snapshot(counters, gauges, observations):
         live.observe(v)
     return ScopeSnapshot(
         "svc", "host:1", 0, counters, gauges,
-        {"lat": HistogramData.from_instrument(live)} if observations else {},
+        {"lat": live} if observations else {},
     )
 
 
@@ -166,13 +199,30 @@ def test_wire_codec_round_trips(counters, gauges, observations):
         assert got == snap
 
 
+@given(st.lists(traced_values, max_size=20))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_wire_codec_round_trips_live_instruments(observations):
+    """A live instrument, with or without exemplars, decodes to an equal
+    histogram, and diffing it against its decoded copy sends nothing
+    (no exemplars on one side and an empty map on the other are equal)."""
+    live = _observed(observations)
+    snap = ScopeSnapshot("svc", "host:1", 0, {}, {}, {"lat": live})
+    (_, got), = decode_scopes(encode_scope(snap, MODE_FULL))
+    decoded = got.histograms["lat"]
+    assert decoded == live
+    assert decoded.count == live.count
+    assert (decoded.minimum, decoded.maximum) == (live.minimum, live.maximum)
+    assert encode_scope(got, MODE_FULL) == encode_scope(snap, MODE_FULL)
+    assert snap.diff(got) is None and got.diff(snap) is None
+
+
 def test_wire_codec_round_trips_exemplars():
     live = Histogram(bounds=BOUNDS)
     live.observe_ex(0.3, "trace:with:colons")
     live.observe_ex(0.002, "t42")
     snap = ScopeSnapshot(
         "svc", "host:1", 3, {"ok": 7}, {},
-        {"lat": HistogramData.from_instrument(live)},
+        {"lat": live.copy()},
     )
     (mode, got), = decode_scopes(encode_scope(snap, MODE_FULL))
     assert got.histograms["lat"].exemplars == live.exemplars
@@ -194,14 +244,44 @@ def test_rebase_after_restart_starts_near_zero():
     for _ in range(10):
         live.observe(0.01)
     base = _snapshot({"ok": 100}, {}, [])
-    base.histograms["lat"] = HistogramData.from_instrument(live)
+    base.histograms["lat"] = live.copy()
     live.observe(0.3)
     curr = ScopeSnapshot(
         "svc", "host:1", 1, {"ok": 103}, {"depth": 2.0},
-        {"lat": HistogramData.from_instrument(live)},
+        {"lat": live.copy()},
     )
     fresh = curr.rebase(base)
     assert fresh.counters["ok"] == 3
     assert fresh.gauges["depth"] == 2.0  # gauges are instantaneous
     assert fresh.histograms["lat"].count == 1
     assert fresh.incarnation == 1
+
+
+@given(st.lists(traced_values, max_size=20), st.lists(traced_values, max_size=20))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_rebase_equals_post_restart_observations(before, after):
+    """current-minus-base of one instrument is exactly what was observed
+    after the base was frozen, and ``count`` follows the counts."""
+    live = _observed(before)
+    base = live.copy()
+    fresh = _observed(after)
+    for value, trace in after:
+        if trace:
+            live.observe_ex(value, trace)
+        else:
+            live.observe(value)
+    rebased = live.subtract_base(base)
+    assert rebased.counts == fresh.counts
+    assert rebased.count == sum(rebased.counts) == len(after)
+    assert abs(rebased.total - fresh.total) <= 1e-9 * max(1.0, live.total)
+    assert (rebased.exemplars or {}) == (live.exemplars or {})
+
+
+def test_rebase_clamps_counts_and_recounts():
+    """A base ahead of the current value (a bucket the new incarnation
+    never refilled) clamps at zero, and ``count`` is recomputed."""
+    current = Histogram(BOUNDS, [1, 0, 4, 0, 0, 0], 0.1)
+    base = Histogram(BOUNDS, [3, 0, 1, 0, 0, 0], 0.05)
+    rebased = current.subtract_base(base)
+    assert rebased.counts == [0, 0, 3, 0, 0, 0]
+    assert rebased.count == 3

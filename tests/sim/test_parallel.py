@@ -114,7 +114,7 @@ class TestEquivalence:
         # the split run really did cross the boundary
         assert c1["boundary.msgs_out"] == 0
         assert c2["boundary.msgs_out"] > 0
-        assert c2["sync.windows"] > 0
+        assert c2["sync.rounds"] > 0
 
     def test_cross_shard_latency_includes_backbone(self):
         lat, _, _ = _run_pair(2)
