@@ -3,9 +3,10 @@
 The E29 lockstep protocol broadcasts one time grant per shard per round
 and pays for it in null messages: payload-free grants to shards with
 nothing executable in the window.  E30 replaces it with demand-driven
-grants — a per-pair lookahead matrix L[i][j], piggybacked
-earliest-output-time promises, and a coordinator that only dispatches a
-shard when its safe horizon strictly exceeds its next executable event.
+grants — a per-pair lookahead matrix L[i][j], a coordinator-side fixed
+point over each shard's next event time, and a coordinator that only
+dispatches a shard when its safe horizon strictly exceeds its next
+executable event.
 Both protocols must produce the *identical* merged trace; the old path
 stays selectable (``sync="lockstep"`` / ``ACE_SYNC_LOCKSTEP=1``) as the
 A/B control.

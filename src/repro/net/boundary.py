@@ -14,10 +14,11 @@ window boundaries; :meth:`inject` turns them back into ordinary in-kernel
 deliveries at their precomputed arrival time.
 
 The conservative-sync contract every send path here must uphold: a message
-posted at local time ``t`` arrives no earlier than ``t + lookahead``,
-where the lookahead (:meth:`compute_lookahead`) is the minimum cross-shard
-path latency.  That is why arrival timestamps are computed and posted *at
-send-decision time*, before the sender yields for its transmit delay.
+posted at local time ``t`` for shard ``j`` arrives no earlier than
+``t + L[j]``, where ``L[j]`` (:meth:`compute_lookahead_row`) is the minimum
+path latency from this shard's hosts to shard ``j``'s.  That is why
+arrival timestamps are computed and posted *at send-decision time*, before
+the sender yields for its transmit delay.
 
 Connect refusals are *not* a deviation: the base fabric delivers a
 refusal on the RST return leg and mints the client's ephemeral port at
@@ -160,33 +161,6 @@ class BoundaryNetwork(Network):
             row[j] = best
         self._lookahead_row = row
         return row
-
-    def compute_lookahead(self) -> float:
-        """Minimum owned→foreign path latency: the global sync lookahead.
-
-        The row minimum of :meth:`compute_lookahead_row` — kept as the
-        scalar bound the lockstep protocol (and the zero-lookahead sanity
-        check) uses.
-        """
-        row = self.compute_lookahead_row()
-        return min(row.values(), default=float("inf"))
-
-    def earliest_output_times(self, next_event: float) -> Dict[int, float]:
-        """EOT promises: per destination shard, the earliest timestamp any
-        *future* message from this shard can carry (E30).
-
-        Given that this shard will not execute anything before
-        ``next_event``, a message to shard ``j`` cannot arrive before
-        ``next_event + L[self][j]`` — every send path posts arrival
-        timestamps that include at least one full path latency
-        (see :meth:`post`).  These promises piggyback on shard reports
-        and are what lets the coordinator issue per-shard demand-driven
-        grants instead of one global lockstep window.
-        """
-        return {
-            j: next_event + la
-            for j, la in self.compute_lookahead_row().items()
-        }
 
     # ------------------------------------------------------------------
     # Outbox / inbox plumbing

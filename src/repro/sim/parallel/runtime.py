@@ -5,12 +5,12 @@ tests — is a :class:`ShardServer` answering a tiny request/reply protocol
 from the coordinator (:class:`~repro.sim.parallel.sharded.ShardedSimulator`):
 
 =============  =====================================================
-``build``      run the topology builder, report lookahead + next event
+``build``      run the topology builder, report the lookahead row and
+               next event time
 ``boot``       start ``env.boot_async(settle)`` as a kernel process
 ``spawn``      call a module-level ``fn(env, ctx, *args, **kwargs)``
-``peek``       report next event time and current clock
 ``window``     inject boundary messages, run events strictly before W,
-               drain the outbox, report next event time
+               drain the outbox, report next event time + events delivered
 ``advance``    ``sim.run(until=t)`` — clock catch-up, queues already dry
 ``collect``    call ``fn(env, ctx, ...)`` and return its (picklable) result
 ``counters``   kernel counters + sync/boundary/cpu telemetry
@@ -59,68 +59,45 @@ class ShardServer:
         self.ctx = ShardContext(index, n_shards, host_to_shard, seed)
         self.builder = builder
         self.env: Any = None
-        self.windows = 0
         self.lookahead_stalls = 0
 
     # -- dispatch -------------------------------------------------------
     def handle(self, msg: Tuple[Any, ...]) -> Any:
         return getattr(self, f"_do_{msg[0]}")(*msg[1:])
 
-    def _eot(self, next_event: float) -> Dict[int, float]:
-        """The EOT promise vector piggybacked on every reply carrying a
-        next-event time (empty on single-kernel fabrics)."""
-        net = self.env.net
-        if isinstance(net, BoundaryNetwork):
-            return net.earliest_output_times(next_event)
-        return {}
-
     # -- verbs ----------------------------------------------------------
     def _do_build(self) -> Dict[str, Any]:
         self.env = self.builder(self.ctx)
         sim, net = self.env.sim, self.env.net
-        lookahead = float("inf")
         lookahead_row: Dict[int, float] = {}
         if isinstance(net, BoundaryNetwork):
             lookahead_row = net.compute_lookahead_row()
-            lookahead = net.compute_lookahead()
         owned = sum(1 for name in net.hosts if self.ctx.owns(name))
-        nxt = sim.peek()
         return {
-            "lookahead": lookahead,
             "lookahead_row": lookahead_row,
-            "next": nxt,
-            "eot": self._eot(nxt),
+            "next": sim.peek(),
             "hosts_owned": owned,
             "hosts_total": len(net.hosts),
         }
 
     def _do_boot(self, settle: float) -> Dict[str, Any]:
         self.env.sim.process(self.env.boot_async(settle), name="boot")
-        nxt = self.env.sim.peek()
-        return {"next": nxt, "eot": self._eot(nxt)}
+        return {"next": self.env.sim.peek()}
 
     def _do_spawn(self, fn: Callable, args: tuple, kwargs: dict) -> Dict[str, Any]:
         result = fn(self.env, self.ctx, *args, **kwargs)
-        nxt = self.env.sim.peek()
-        return {"next": nxt, "eot": self._eot(nxt), "result": result}
-
-    def _do_peek(self) -> Dict[str, Any]:
-        return {"next": self.env.sim.peek(), "now": self.env.sim.now}
+        return {"next": self.env.sim.peek(), "result": result}
 
     def _do_window(self, before: float, msgs: list) -> Dict[str, Any]:
         net = self.env.net
         if msgs:
             net.inject(msgs)
         delivered = self.env.sim.run_window(before)
-        self.windows += 1
         if delivered == 0:
             self.lookahead_stalls += 1
         outbox = net.drain_outbox() if isinstance(net, BoundaryNetwork) else {}
-        nxt = self.env.sim.peek()
         return {
-            "next": nxt,
-            "eot": self._eot(nxt),
-            "now": self.env.sim.now,
+            "next": self.env.sim.peek(),
             "outbox": outbox,
             "delivered": delivered,
         }
@@ -128,8 +105,7 @@ class ShardServer:
     def _do_advance(self, until: float) -> Dict[str, Any]:
         if until > self.env.sim.now:
             self.env.sim.run(until=until)
-        nxt = self.env.sim.peek()
-        return {"next": nxt, "eot": self._eot(nxt), "now": self.env.sim.now}
+        return {"next": self.env.sim.peek()}
 
     def _do_collect(self, fn: Callable, args: tuple, kwargs: dict) -> Dict[str, Any]:
         return {"result": fn(self.env, self.ctx, *args, **kwargs)}
@@ -141,7 +117,6 @@ class ShardServer:
             "now": sim.now,
             "cpu_s": time.process_time(),
             "maxrss_kb": _maxrss_kb(),
-            "windows": self.windows,
             "lookahead_stalls": self.lookahead_stalls,
             "trace_records": len(self.env.trace.records),
         }

@@ -11,17 +11,20 @@ control, mirroring the ``ACE_KERNEL_FASTPATH`` pattern):
     Per-shard, demand-driven grants.  The coordinator assembles a
     **per-pair lookahead matrix** ``L[i][j]`` at build time (min latency
     from shard-*i*-owned hosts to shard-*j*-owned hosts,
-    :meth:`~repro.net.boundary.BoundaryNetwork.compute_lookahead_row`);
-    shard reports piggyback **earliest-output-time promises** per
-    destination shard.  From ``(next_i, held-message floors, L)`` the
-    coordinator solves the classic LBTS fixed point
+    :meth:`~repro.net.boundary.BoundaryNetwork.compute_lookahead_row`).
+    Each shard reply reports only its next event time, its outbox and
+    how many events it delivered.  From ``(next_i, held-message floors,
+    L)`` the coordinator solves the classic LBTS fixed point
 
         ``E_j = min(wake_j, min_{k != j}(E_k + L[k][j]))``
 
     (``wake_j`` = the earliest time shard *j* could execute anything;
     frozen at the dispatch floor while *j* is mid-window) and issues
 
-        ``grant_i = min_{j != i} min(EOT_j[i], E_j + L[j][i])``
+        ``grant_i = min_{j != i} (E_j + L[j][i])``
+
+    A shard-side earliest-output-time promise ``next_j + L[j][i]`` would
+    add nothing: ``E_j <= next_j`` always holds, so it never binds.
 
     A shard is dispatched **only when it has demand** — an event or a
     pending boundary message strictly inside its grant — so every grant
@@ -159,7 +162,7 @@ class ShardedSimulator:
     seed:
         Forwarded to every :class:`ShardContext` (shard-local RNG forks).
     sync:
-        ``"demand"`` (per-shard EOT grants, the default) or
+        ``"demand"`` (per-shard fixed-point grants, the default) or
         ``"lockstep"`` (the E29 global-window rounds).  ``None`` reads
         ``ACE_SYNC_LOCKSTEP`` from the environment: ``1`` selects
         lockstep, anything else demand.
@@ -197,19 +200,15 @@ class ShardedSimulator:
         #: per-pair lookahead matrix, ``L[i][j]`` = min latency i -> j
         self.lookahead_matrix: List[Dict[int, float]] = []
         self.rounds = 0          # scheduler passes (lockstep: window rounds)
-        self.grants = 0          # window grants dispatched
         self.null_grants = 0     # grants that moved no simulation work
         self.payload_free_grants = 0  # grants carrying no boundary payload
         self._now = 0.0
         self._handles: List[Any] = []
         self._next: List[float] = []
-        #: latest EOT promise vector per shard, ``{dst: ts}``
-        self._eot: List[Dict[int, float]] = []
         #: boundary messages awaiting relay, dst shard -> [msg, ...]
         self._held: Dict[int, List[tuple]] = {}
         self._started = False
         self._closed = False
-        self._build_info: List[Dict[str, Any]] = []
         #: per-shard grant counts and granted-window-width histograms
         self._grants_per_shard: List[int] = [0] * n_shards
         self._width_hists: List[Histogram] = [
@@ -228,14 +227,14 @@ class ShardedSimulator:
                            self.host_to_shard, self.seed)
             )
         infos = self._request_all(("build",))
-        self._build_info = infos
         self._next = [info["next"] for info in infos]
-        self._eot = [dict(info.get("eot") or {}) for info in infos]
         self.lookahead_matrix = [
-            {int(j): float(v) for j, v in (info.get("lookahead_row") or {}).items()}
+            {int(j): float(v) for j, v in info["lookahead_row"].items()}
             for info in infos
         ]
-        self.lookahead = min(info["lookahead"] for info in infos)
+        self.lookahead = min(
+            (v for row in self.lookahead_matrix for v in row.values()),
+            default=_INF)
         if self.n_shards > 1:
             if self.lookahead <= 0.0:
                 self._abort()
@@ -348,7 +347,6 @@ class ShardedSimulator:
         finals = self._request_all(("advance", until))
         for i, f in enumerate(finals):
             self._next[i] = f["next"]
-            self._eot[i] = dict(f.get("eot") or {})
         self._now = until
         return delivered
 
@@ -388,12 +386,10 @@ class ShardedSimulator:
                 per_shard.append(("window", window, inbox))
                 self._grants_per_shard[i] += 1
                 self._width_hists[i].observe(window - horizon)
-            self.grants += self.n_shards
             reports = self._request_all(None, per_shard)
             self.rounds += 1
             for i, rep in enumerate(reports):
                 self._next[i] = rep["next"]
-                self._eot[i] = dict(rep.get("eot") or {})
                 delivered += rep["delivered"]
                 for dst, msgs in rep["outbox"].items():
                     self._held.setdefault(int(dst), []).extend(msgs)
@@ -401,7 +397,7 @@ class ShardedSimulator:
 
     # -- demand-driven (E30) --------------------------------------------
     def _compute_grants(self, busy: Dict[int, tuple], upper: float) -> List[float]:
-        """Per-shard safe horizons from the EOT/lookahead fixed point.
+        """Per-shard safe horizons from the lookahead fixed point.
 
         ``E[j]`` lower-bounds every future *execution* (hence every future
         send-decision) of shard ``j``: its own wake time — ``min(next_j,
@@ -441,8 +437,7 @@ class ShardedSimulator:
             for j in range(n):
                 if j == i:
                     continue
-                bound = min(self._eot[j].get(i, _INF),
-                            E[j] + self.lookahead_matrix[j].get(i, _INF))
+                bound = E[j] + self.lookahead_matrix[j].get(i, _INF)
                 if bound < g:
                     g = bound
             grants.append(g)
@@ -482,7 +477,6 @@ class ShardedSimulator:
                     raise SimulationError(
                         f"shard {i} died mid-run ({exc!r})") from None
                 busy[i] = (wake, bool(inbox))
-                self.grants += 1
                 self._grants_per_shard[i] += 1
                 if not inbox:
                     self.payload_free_grants += 1
@@ -504,7 +498,6 @@ class ShardedSimulator:
             for i, rep in self._collect_ready(busy):
                 floor, had_payload = busy.pop(i)
                 self._next[i] = rep["next"]
-                self._eot[i] = dict(rep.get("eot") or {})
                 delivered += rep["delivered"]
                 if rep["delivered"] == 0 and not had_payload:
                     self.null_grants += 1
@@ -547,7 +540,6 @@ class ShardedSimulator:
         reports = self._request_all(("boot", float(settle)))
         for i, r in enumerate(reports):
             self._next[i] = r["next"]
-            self._eot[i] = dict(r.get("eot") or {})
         self.run(self._now + 2.5 * float(settle) + 1.0)
         return self
 
@@ -562,7 +554,6 @@ class ShardedSimulator:
         reports = self._request_all(("spawn", fn, tuple(args), dict(kwargs)))
         for i, r in enumerate(reports):
             self._next[i] = r["next"]
-            self._eot[i] = dict(r.get("eot") or {})
         return [r["result"] for r in reports]
 
     def collect(self, fn: Callable, *args: Any, **kwargs: Any) -> List[Any]:
@@ -600,7 +591,7 @@ class ShardedSimulator:
         out["sync.shards"] = self.n_shards
         out["sync.demand"] = 0.0 if self.sync == "lockstep" else 1.0
         out["sync.rounds"] = self.rounds
-        out["sync.grants"] = self.grants
+        out["sync.grants"] = sum(self._grants_per_shard)
         out["sync.null_messages"] = self.null_grants
         out["sync.payload_free_grants"] = self.payload_free_grants
         out["sync.lookahead_stalls"] = sum(r["lookahead_stalls"] for r in reports)
@@ -618,7 +609,7 @@ class ShardedSimulator:
         return {
             "protocol": self.sync,
             "rounds": self.rounds,
-            "grants": self.grants,
+            "grants": sum(self._grants_per_shard),
             "null_grants": self.null_grants,
             "payload_free_grants": self.payload_free_grants,
             "lookahead": self.lookahead,

@@ -11,6 +11,8 @@ the structural null-message elimination.
 """
 
 import functools
+import hashlib
+import json
 
 import pytest
 
@@ -132,6 +134,42 @@ class TestEquivalence:
             assert shard["window_width"]["p95"] > 0.0
         assert sum(s["grants"] for s in report["per_shard"]) \
             == report["grants"]
+
+
+class TestSchedulePin:
+    """Pin the sync schedule itself, not only its outcome: a change to
+    which shard is granted what, and when, can keep the merged trace (the
+    equivalence tests above) and still be a different protocol."""
+
+    @pytest.mark.parametrize("n_shards, sync, report_sha256, counters", [
+        (2, "demand",
+         "ff8aef20039b199c91d7122e02b5385b805494ea79271f0f08082d45ff5649d1",
+         {"rounds": 397, "grants": 440, "null_messages": 0,
+          "payload_free_grants": 401, "lookahead_stalls": 0}),
+        (4, "demand",
+         "00a8af7fa446884f0d4ef22217aa528d2b8af12b16f192ab4d27f28adb816197",
+         {"rounds": 422, "grants": 531, "null_messages": 0,
+          "payload_free_grants": 441, "lookahead_stalls": 0}),
+        (8, "demand",
+         "4ceacfcebbd462e56c000ebdbdb360e9d49b0a5b1d96d636cf30a52555cf866e",
+         {"rounds": 422, "grants": 535, "null_messages": 0,
+          "payload_free_grants": 445, "lookahead_stalls": 0}),
+        (2, "lockstep",
+         "51890fba6c807cc2ea3d61fa80b297d88a5ea247f2479792a8f0e1d38969aca4",
+         {"rounds": 565, "grants": 1130, "null_messages": 1078,
+          "payload_free_grants": 1078, "lookahead_stalls": 491}),
+    ])
+    def test_sync_report_and_counters_are_pinned(self, n_shards, sync,
+                                                  report_sha256, counters):
+        _, got_counters, report, _, _ = _run_campus(n_shards, sync)
+        expected = {f"sync.{k}": v for k, v in counters.items()}
+        expected["sync.shards"] = n_shards
+        expected["sync.demand"] = 1.0 if sync == "demand" else 0.0
+        assert {k: v for k, v in got_counters.items()
+                if k.startswith("sync.")} == expected
+        digest = hashlib.sha256(
+            json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == report_sha256
 
 
 class TestProtocolSelection:
